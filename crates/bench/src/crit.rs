@@ -11,8 +11,7 @@
 //! is.
 //!
 //! The binary `bench_crit` runs this harness and writes the report to
-//! `BENCH_crit.json`; `cargo bench -p qvsec-bench --bench crit_kernel` runs
-//! the criterion version of the same comparison.
+//! `BENCH_crit.json`.
 
 use qvsec::critical::{critical_tuples_seq, critical_tuples_traced, CritStats, CritStatsSnapshot};
 use qvsec_cq::ConjunctiveQuery;

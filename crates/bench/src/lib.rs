@@ -1,46 +1,30 @@
-//! # qvsec-bench — benchmark harness
+//! # qvsec-bench — benchmark harnesses
 //!
-//! Criterion benches regenerating every table and worked example of the
-//! paper (see `DESIGN.md` §4 for the experiment index and `EXPERIMENTS.md`
-//! for the recorded paper-vs-measured comparison). Each bench prints the
-//! values it reproduces (classifications, probabilities, leakage, exponents)
-//! once at start-up and then measures the runtime of the decision procedures
-//! that produce them.
+//! Each module is a JSON-emitting harness whose report is committed at the
+//! repository root, so the performance trajectory lives in the repository:
 //!
-//! Run all benches with `cargo bench --workspace`; individual targets:
+//! * [`crit`] — `BENCH_crit.json` (`cargo run --release -p qvsec-bench --bin
+//!   bench_crit`): the `crit(Q)` kernel vs. the sequential path, with
+//!   pruning counters.
+//! * [`prob`] — `BENCH_prob.json` (`--bin bench_prob`): the shared-sample
+//!   probabilistic kernel vs. the enumeration baseline, plus a Monte-Carlo
+//!   pool-reuse section.
+//! * [`session`] — `BENCH_session.json` (`--bin bench_session`): warm
+//!   `AuditSession` steps vs. a fresh engine per step.
+//! * [`serve`] — `BENCH_serve.json` (`--bin bench_serve`): the multi-tenant
+//!   registry and the NDJSON server.
 //!
-//! ```text
-//! cargo bench -p qvsec-bench --bench table1
-//! cargo bench -p qvsec-bench --bench critical_tuples
-//! cargo bench -p qvsec-bench --bench crit_kernel
-//! cargo bench -p qvsec-bench --bench security_decision
-//! cargo bench -p qvsec-bench --bench probability
-//! cargo bench -p qvsec-bench --bench leakage
-//! cargo bench -p qvsec-bench --bench prior_knowledge
-//! cargo bench -p qvsec-bench --bench practical_security
-//! ```
-//!
-//! The [`crit`] module is the JSON-emitting harness behind `BENCH_crit.json`
-//! (run it with `cargo run --release -p qvsec-bench --bin bench_crit`): the
-//! kernel-vs-sequential `crit(Q)` comparison with pruning counters, recorded
-//! so the performance trajectory lives in the repository. The [`prob`]
-//! module is its Probabilistic-stage sibling behind `BENCH_prob.json` (run
-//! with `--bin bench_prob`): shared-sample kernel vs. the preserved
-//! enumeration baseline, plus a Monte-Carlo pool-reuse section. Both
-//! binaries accept `--threads N` to pin the worker count; this crate's
-//! `README.md` records the per-thread scaling notes.
+//! Every binary accepts `--threads N` to pin the worker count; this crate's
+//! `README.md` records the per-thread scaling notes. The paper's tables
+//! and worked examples are asserted by the workspace tests and printed by
+//! the `quickstart` example.
 
 pub mod crit;
 pub mod prob;
 pub mod serve;
 pub mod session;
 
-/// The uniform per-tuple probability used by the dictionary-based benches.
-pub fn default_tuple_probability() -> qvsec_data::Ratio {
-    qvsec_data::Ratio::new(1, 2)
-}
-
-/// Builds the support-set dictionary used by the Table 1 and leakage benches:
+/// Builds the support-set dictionary the probabilistic harness audits over:
 /// the queries' support over the row's domain padded to two constants, with
 /// uniform probability 1/2.
 pub fn support_dictionary(
@@ -51,35 +35,7 @@ pub fn support_dictionary(
     padded.pad_to(2);
     let space =
         qvsec_prob::lineage::support_space(queries, &padded, 1 << 12).expect("small support");
-    qvsec_data::Dictionary::uniform(space, default_tuple_probability()).expect("valid dictionary")
-}
-
-/// An [`qvsec::AuditEngine`] over the given schema and domain, without a
-/// dictionary — the shared setup for the dictionary-free benches.
-pub fn engine(schema: &qvsec_data::Schema, domain: &qvsec_data::Domain) -> qvsec::AuditEngine {
-    qvsec::AuditEngine::builder(schema.clone(), domain.clone()).build()
-}
-
-/// The engine auditing one Table 1 row at full (probabilistic) depth: the
-/// row's domain padded to two constants, the support dictionary over the
-/// row's queries, and the 1/10 minute-vs-partial threshold the reproduction
-/// uses. This replaces the per-bench copies of that setup.
-pub fn table1_row_engine(
-    row: &qvsec_workload::Table1Row,
-) -> (qvsec::AuditEngine, qvsec::AuditRequest) {
-    let mut queries: Vec<&qvsec_cq::ConjunctiveQuery> = vec![&row.secret];
-    queries.extend(row.views.iter());
-    let dict = support_dictionary(&queries, &row.domain);
-    let mut domain = row.domain.clone();
-    domain.pad_to(2);
-    let engine = qvsec::AuditEngine::builder(qvsec_workload::schemas::employee_schema(), domain)
-        .dictionary(dict)
-        .minute_threshold(qvsec_data::Ratio::new(1, 10))
-        .default_depth(qvsec::AuditDepth::Probabilistic)
-        .build();
-    let request = qvsec::AuditRequest::new(row.secret.clone(), row.views.clone())
-        .named(format!("table1-row{}", row.id));
-    (engine, request)
+    qvsec_data::Dictionary::uniform(space, qvsec_data::Ratio::new(1, 2)).expect("valid dictionary")
 }
 
 #[cfg(test)]

@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! qvsec-cli audit --spec specs/table1.json [--pretty] [--sequential]
-//! qvsec-cli audit --spec specs/table1.toml --out reports.json
+//! qvsec-cli audit --spec specs/table1_sql.json --out reports.json
 //! qvsec-cli session --spec specs/session_collusion.json [--pretty]
-//! qvsec-cli serve --spec specs/serve_employee.json --addr 127.0.0.1:7341 [--workers 4] [--store DIR]
+//! qvsec-cli serve --spec specs/serve_employee.json --addr 127.0.0.1:7341 [--max-connections N] [--store DIR]
 //! qvsec-cli request --addr 127.0.0.1:7341 --file specs/serve_requests.ndjson
 //! qvsec-cli sql --spec specs/table1.json --query "SELECT name FROM Employee WHERE department = 'HR'"
 //! qvsec-cli sql --addr 127.0.0.1:7341 --query "SHOW TABLES"
@@ -48,14 +48,13 @@ COMMANDS:
                      `metrics` op) and print a ranked, human-readable view
 
 OPTIONS:
-    --spec <FILE>    Spec, JSON or TOML (format auto-detected)
+    --spec <FILE>    JSON spec
     --query <SQL>    (sql) the statement to analyze
     --name <NAME>    (sql) name for the compiled query (default Q)
     --addr <ADDR>    Server address, e.g. 127.0.0.1:7341
     --max-connections <N>
                      (serve) accept-gate cap on concurrent connections
-                     (overrides the spec's `server.max_connections`;
-                     `--workers` is a deprecated alias)
+                     (overrides the spec's `server.max_connections`)
     --store <DIR>    (serve/session) durable log store at DIR: tenants and
                      compiled artifacts persist and rehydrate on restart
                      (overrides the spec's `store` block)
@@ -142,9 +141,7 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         match arg.as_str() {
             "--spec" => args.spec = Some(argv.next().ok_or("--spec needs a file argument")?),
             "--addr" => args.addr = Some(argv.next().ok_or("--addr needs an address argument")?),
-            // `--workers` predates the pipelined server (one thread per
-            // connection now; no fixed pool) and stays as an alias.
-            "--max-connections" | "--workers" => {
+            "--max-connections" => {
                 args.max_connections = Some(
                     argv.next()
                         .and_then(|s| s.parse().ok())

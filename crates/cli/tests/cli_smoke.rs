@@ -59,17 +59,6 @@ fn audits_the_json_table1_spec() {
 }
 
 #[test]
-fn audits_the_toml_table1_spec_identically() {
-    let json = run_cli(&["audit", "--spec", "specs/table1.json"]);
-    let toml = run_cli(&["audit", "--spec", "specs/table1.toml"]);
-    assert!(json.status.success() && toml.status.success());
-    assert_eq!(json.stdout, toml.stdout, "formats must agree");
-    let pretty = run_cli(&["audit", "--spec", "specs/table1.toml", "--pretty"]);
-    assert!(pretty.status.success());
-    check_table1_reports(&pretty.stdout);
-}
-
-#[test]
 fn sequential_flag_changes_nothing() {
     let par = run_cli(&["audit", "--spec", "specs/table1.json"]);
     let seq = run_cli(&["audit", "--spec", "specs/table1.json", "--sequential"]);
@@ -113,7 +102,7 @@ fn serves_the_committed_request_script_deterministically() {
                 "specs/serve_employee.json",
                 "--addr",
                 "127.0.0.1:0",
-                "--workers",
+                "--max-connections",
                 "2",
             ])
             .current_dir(repo_root())

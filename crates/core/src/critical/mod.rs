@@ -171,6 +171,16 @@ mod tests {
         ));
         let crit = critical_tuples(&q, &domain).unwrap();
         assert_eq!(crit.len(), 2);
+
+        // Q() :- R('a', x), R(x, x): R(a, a) alone satisfies it and
+        // R(a, b), R(b, b) do together, so all three are critical; R(b, a)
+        // is in no image.
+        let q = parse_query("Q() :- R('a', x), R(x, x)", &schema, &mut domain).unwrap();
+        let expected: BTreeSet<Tuple> = [["a", "a"], ["a", "b"], ["b", "b"]]
+            .iter()
+            .map(|v| t(&schema, &domain, "R", v))
+            .collect();
+        assert_eq!(critical_tuples(&q, &domain).unwrap(), expected);
     }
 
     #[test]

@@ -17,16 +17,17 @@
 //!   single-answer atomic events used by the paper's Examples 6.2/6.3
 //!   ([`leakage_exact`]),
 //! * the `ε` of Theorem 6.1 for specific or worst-case answer pairs and the
-//!   induced bound ([`epsilon_for`], [`theorem_6_1_bound`]), and
-//! * Monte-Carlo estimates for dictionaries too large to enumerate
-//!   ([`leakage_estimate`]).
+//!   induced bound ([`epsilon_for`], [`theorem_6_1_bound`]).
+//!
+//! Dictionaries too large to enumerate are estimated by the shared-sample
+//! kernel behind the engine's `Probabilistic` stage
+//! (`qvsec_prob::kernel`).
 
 use crate::critical::critical_tuples;
 use crate::{QvsError, Result};
 use qvsec_cq::eval::{evaluate, Answer};
 use qvsec_cq::{ConjunctiveQuery, Term, ViewSet};
 use qvsec_data::{Dictionary, Domain, Instance, Ratio, Tuple, Value};
-use qvsec_prob::montecarlo::MonteCarloEstimator;
 use qvsec_prob::probability::event_probability;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -286,21 +287,6 @@ pub fn theorem_6_1_bound(epsilon: Ratio) -> Option<Ratio> {
     Some(sq / (Ratio::ONE - sq))
 }
 
-/// Estimates `leak(S, V̄)` for a *specific* answer pair by Monte-Carlo
-/// sampling (for dictionaries too large for [`leakage_exact`]).
-pub fn leakage_estimate(
-    secret: &ConjunctiveQuery,
-    views: &ViewSet,
-    dict: &Dictionary,
-    query_answer: &[Value],
-    view_answers: &[Answer],
-    samples: usize,
-    seed: u64,
-) -> Option<f64> {
-    let mc = MonteCarloEstimator::new(dict, samples, seed);
-    mc.relative_leakage(secret, query_answer, views, view_answers)
-}
-
 /// Guard helper: exact leakage is only meaningful over enumerable spaces.
 pub fn ensure_enumerable(dict: &Dictionary) -> Result<()> {
     if dict.len() > qvsec_data::bitset::MAX_ENUMERABLE {
@@ -440,18 +426,6 @@ mod tests {
             Ratio::new(1, 3)
         );
         assert!(theorem_6_1_bound(Ratio::ONE).is_none());
-    }
-
-    #[test]
-    fn monte_carlo_leakage_estimate_is_finite_for_insecure_pairs() {
-        let (schema, mut domain, dict) = setup();
-        let s = parse_query("S(x, y) :- R(x, y)", &schema, &mut domain).unwrap();
-        let v = parse_query("V(x) :- R(x, y)", &schema, &mut domain).unwrap();
-        let a = domain.get("a").unwrap();
-        let b = domain.get("b").unwrap();
-        let est =
-            leakage_estimate(&s, &ViewSet::single(v), &dict, &[a, b], &[vec![a]], 4000, 7).unwrap();
-        assert!(est.is_finite());
     }
 
     #[test]

@@ -23,14 +23,15 @@
 //! the ICDT'05 paper; the estimate preserves the classification
 //! perfect / practically secure / practical disclosure, which only depends on
 //! exponent comparisons and coefficient ratios of the minimising images).
-//! Monte-Carlo evaluation at growing `n` is provided to validate the
-//! exponents empirically (used by the benches and EXPERIMENTS.md).
+//! Monte-Carlo evaluation at growing `n` ([`estimate_mu_n`]) validates the
+//! exponents empirically.
 
 use crate::{QvsError, Result};
 use qvsec_cq::{ConjunctiveQuery, Term};
 use qvsec_data::{Dictionary, Domain, Schema, TupleSpace, Value};
-use qvsec_prob::montecarlo::MonteCarloEstimator;
+use qvsec_prob::kernel::{world_column, CompiledQuery, SamplePool};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// The asymptotic behaviour of `μ_n[Q]`: `μ_n[Q] ≈ coefficient / n^exponent`.
 #[derive(Debug, Clone, PartialEq)]
@@ -221,9 +222,10 @@ pub fn practical_security(
 }
 
 /// Empirically estimates `μ_n[Q]` at a specific domain size `n` under the
-/// expected-size model, by Monte-Carlo sampling (exact enumeration where the
-/// tuple space is small enough is performed by the caller through
-/// `qvsec_prob::probability`).
+/// expected-size model: the share of `samples` worlds of the kernel's
+/// seeded [`SamplePool`] on which the boolean query holds (exact
+/// enumeration where the tuple space is small enough is performed by the
+/// caller through `qvsec_prob::probability`).
 pub fn estimate_mu_n(
     query: &ConjunctiveQuery,
     schema: &Schema,
@@ -232,34 +234,17 @@ pub fn estimate_mu_n(
     samples: usize,
     seed: u64,
 ) -> Result<f64> {
-    let domain = Domain::with_size(n);
-    let space = TupleSpace::full_with_cap(schema, &domain, 1 << 20)?;
-    let dict = Dictionary::expected_size(schema, &domain, space, expected_size)?;
-    let mc = MonteCarloEstimator::new(&dict, samples, seed);
-    Ok(mc.boolean_probability(query))
+    let (_, dict) = expected_size_dictionary(schema, n, expected_size)?;
+    let pool = SamplePool::generate(&dict, Arc::new(dict.space().clone()), samples, seed);
+    let compiled = CompiledQuery::compile(query, pool.space());
+    let hits = world_column(&pool, &compiled)
+        .chunks(compiled.sig_words().max(1))
+        .filter(|answers| answers.iter().any(|&word| word != 0))
+        .count();
+    Ok(hits as f64 / samples.max(1) as f64)
 }
 
-/// Returns the tuples of the canonical (most-general, all-variables-distinct)
-/// image of a query — a convenience used by benches to report image sizes.
-pub fn canonical_image_size(query: &ConjunctiveQuery) -> usize {
-    let mut image: BTreeSet<(u32, Vec<String>)> = BTreeSet::new();
-    for atom in &query.atoms {
-        image.insert((
-            atom.relation.0,
-            atom.terms
-                .iter()
-                .map(|t| match t {
-                    Term::Var(v) => format!("v{}", v.0),
-                    Term::Const(c) => format!("c{}", c.0),
-                })
-                .collect(),
-        ));
-    }
-    image.len()
-}
-
-/// Helper for tests and benches: the expected-size dictionary over a domain
-/// of size `n`.
+/// The expected-size dictionary over a domain of size `n`.
 pub fn expected_size_dictionary(
     schema: &Schema,
     n: usize,
@@ -275,36 +260,6 @@ pub fn expected_size_dictionary(
 /// the given arity, exposed for documentation and experiment scripts.
 pub fn model_tuple_probability(n: usize, arity: usize, expected_size: f64) -> f64 {
     (expected_size / (n as f64).powi(arity as i32)).min(1.0)
-}
-
-/// A convenience wrapper bundling a query with its asymptotics, used by the
-/// benchmark harness to print table rows.
-#[derive(Debug, Clone)]
-pub struct AsymptoticRow {
-    /// Query name.
-    pub name: String,
-    /// Exponent `d`.
-    pub exponent: u32,
-    /// Estimated coefficient.
-    pub coefficient: f64,
-}
-
-/// Computes [`AsymptoticRow`]s for a batch of queries.
-pub fn asymptotic_table(
-    queries: &[ConjunctiveQuery],
-    schema: &Schema,
-    expected_size: f64,
-) -> Result<Vec<AsymptoticRow>> {
-    queries
-        .iter()
-        .map(|q| {
-            asymptotics(q, schema, expected_size).map(|a| AsymptoticRow {
-                name: q.name.clone(),
-                exponent: a.exponent,
-                coefficient: a.coefficient,
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -374,6 +329,12 @@ mod tests {
             practical_security(&q, &v, &schema, 2.0).unwrap(),
             PracticalVerdict::PracticallySecure
         );
+        // Nor does an out-edge of 'a' (d(QV) = 2 > d(V) = 1).
+        let out_a = parse_query("V() :- R('a', x)", &schema, &mut domain).unwrap();
+        assert_eq!(
+            practical_security(&q, &out_a, &schema, 4.0).unwrap(),
+            PracticalVerdict::PracticallySecure
+        );
 
         // V = Q: the limit of μ_n[Q | V] is 1 — a practical disclosure.
         match practical_security(&q, &q, &schema, 2.0).unwrap() {
@@ -426,7 +387,16 @@ mod tests {
         let joint = conjoin(&q1, &q2);
         assert_eq!(joint.atoms.len(), 2);
         assert_eq!(joint.num_vars(), 3, "x/y from Q1 plus x from Q2");
-        assert_eq!(canonical_image_size(&joint), 2);
+        let vars = |atom: &qvsec_cq::Atom| -> BTreeSet<_> {
+            atom.terms
+                .iter()
+                .filter_map(|t| match t {
+                    Term::Var(v) => Some(*v),
+                    Term::Const(_) => None,
+                })
+                .collect()
+        };
+        assert!(vars(&joint.atoms[0]).is_disjoint(&vars(&joint.atoms[1])));
     }
 
     #[test]
@@ -435,12 +405,22 @@ mod tests {
         assert_eq!(model_tuple_probability(1, 2, 5.0), 1.0, "clamped at 1");
         let schema = schema();
         let mut domain = Domain::new();
-        let q1 = parse_query("A() :- R(x, y)", &schema, &mut domain).unwrap();
-        let q2 = parse_query("B() :- R(x, x)", &schema, &mut domain).unwrap();
-        let table = asymptotic_table(&[q1, q2], &schema, 2.0).unwrap();
-        assert_eq!(table.len(), 2);
-        assert_eq!(table[0].exponent, 0);
-        assert_eq!(table[1].exponent, 1);
+        // The Section 6.2 exponent table at expected size S = 4.
+        for (text, exponent) in [
+            ("Edge() :- R(x, y)", 0),
+            ("Loop() :- R(x, x)", 1),
+            ("Path2() :- R(x, y), R(y, z)", 1),
+            ("Triangle() :- R(x, y), R(y, z), R(z, x)", 1),
+            ("Constant() :- R('a', 'b')", 2),
+            ("OutEdgeOfA() :- R('a', x)", 1),
+        ] {
+            let q = parse_query(text, &schema, &mut domain).unwrap();
+            assert_eq!(
+                asymptotics(&q, &schema, 4.0).unwrap().exponent,
+                exponent,
+                "{text}"
+            );
+        }
         let (_, dict) = expected_size_dictionary(&schema, 4, 2).unwrap();
         assert_eq!(dict.len(), 16);
     }

@@ -9,49 +9,29 @@
 
 use crate::bitset::BitSet;
 use crate::dictionary::Dictionary;
-use crate::instance::Instance;
 use rand::Rng;
 
 /// Samples database instances from a [`Dictionary`].
 #[derive(Debug, Clone)]
-pub struct InstanceSampler<'a> {
-    dictionary: &'a Dictionary,
+pub struct InstanceSampler {
     probs: Vec<f64>,
 }
 
-impl<'a> InstanceSampler<'a> {
+impl InstanceSampler {
     /// Creates a sampler for the given dictionary.
-    pub fn new(dictionary: &'a Dictionary) -> Self {
+    pub fn new(dictionary: &Dictionary) -> Self {
         InstanceSampler {
             probs: dictionary.probabilities_f64(),
-            dictionary,
         }
     }
 
-    /// The dictionary being sampled.
-    pub fn dictionary(&self) -> &Dictionary {
-        self.dictionary
-    }
-
-    /// Samples one instance: each tuple of the space is included
-    /// independently with its probability.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Instance {
-        Instance::from_tuples(
-            self.probs
-                .iter()
-                .enumerate()
-                .filter(|(_, &p)| rng.gen::<f64>() < p)
-                .map(|(i, _)| self.dictionary.space().tuple(i).clone()),
-        )
-    }
-
-    /// Samples one instance directly as a [`BitSet`] over the tuple space —
-    /// no per-tuple clone, no `Instance` hash set. This is the representation
-    /// the shared-sample probabilistic kernel keeps its world pool in; unlike
-    /// [`InstanceSampler::sample_mask`] it scales past 64 tuples.
+    /// Samples one instance as a [`BitSet`] over the tuple space: each
+    /// tuple is included independently with its probability. This is the
+    /// representation the shared-sample probabilistic kernel keeps its
+    /// world pool in.
     ///
     /// Consumes exactly one `rng.gen::<f64>()` per tuple of the space, so a
-    /// fixed seed yields the same world regardless of representation.
+    /// fixed seed yields the same world.
     pub fn sample_bitset<R: Rng + ?Sized>(&self, rng: &mut R) -> BitSet {
         let mut bits = BitSet::new(self.probs.len());
         for (i, &p) in self.probs.iter().enumerate() {
@@ -60,73 +40,6 @@ impl<'a> InstanceSampler<'a> {
             }
         }
         bits
-    }
-
-    /// Samples one instance as a `u64` mask over the tuple space (only valid
-    /// for spaces with at most 64 tuples).
-    pub fn sample_mask<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        debug_assert!(self.probs.len() <= 64);
-        let mut mask = 0u64;
-        for (i, &p) in self.probs.iter().enumerate() {
-            if rng.gen::<f64>() < p {
-                mask |= 1u64 << i;
-            }
-        }
-        mask
-    }
-
-    /// Samples `count` instances.
-    pub fn sample_many<R: Rng + ?Sized>(&self, rng: &mut R, count: usize) -> Vec<Instance> {
-        (0..count).map(|_| self.sample(rng)).collect()
-    }
-
-    /// Estimates the probability of an event by sampling: the fraction of
-    /// `samples` instances for which `event` returns `true`.
-    pub fn estimate<R: Rng + ?Sized, F>(&self, rng: &mut R, samples: usize, mut event: F) -> f64
-    where
-        F: FnMut(&Instance) -> bool,
-    {
-        if samples == 0 {
-            return 0.0;
-        }
-        let mut hits = 0usize;
-        for _ in 0..samples {
-            if event(&self.sample(rng)) {
-                hits += 1;
-            }
-        }
-        hits as f64 / samples as f64
-    }
-
-    /// Estimates a conditional probability `P[event | given]` by rejection
-    /// sampling. Returns `None` if the conditioning event was never observed.
-    pub fn estimate_conditional<R: Rng + ?Sized, F, G>(
-        &self,
-        rng: &mut R,
-        samples: usize,
-        mut event: F,
-        mut given: G,
-    ) -> Option<f64>
-    where
-        F: FnMut(&Instance) -> bool,
-        G: FnMut(&Instance) -> bool,
-    {
-        let mut conditioned = 0usize;
-        let mut hits = 0usize;
-        for _ in 0..samples {
-            let inst = self.sample(rng);
-            if given(&inst) {
-                conditioned += 1;
-                if event(&inst) {
-                    hits += 1;
-                }
-            }
-        }
-        if conditioned == 0 {
-            None
-        } else {
-            Some(hits as f64 / conditioned as f64)
-        }
     }
 }
 
@@ -153,10 +66,8 @@ mod tests {
         let d = dict(Ratio::new(1, 2));
         let sampler = InstanceSampler::new(&d);
         let mut rng = StdRng::seed_from_u64(7);
-        let total: usize = sampler
-            .sample_many(&mut rng, 2000)
-            .iter()
-            .map(|i| i.len())
+        let total: usize = (0..2000)
+            .map(|_| sampler.sample_bitset(&mut rng).count())
             .sum();
         let mean = total as f64 / 2000.0;
         // expected size is 2 tuples (4 tuples at p = 1/2)
@@ -168,65 +79,21 @@ mod tests {
         let d0 = dict(Ratio::ZERO);
         let d1 = dict(Ratio::ONE);
         let mut rng = StdRng::seed_from_u64(1);
-        assert!(InstanceSampler::new(&d0).sample(&mut rng).is_empty());
-        assert_eq!(InstanceSampler::new(&d1).sample(&mut rng).len(), 4);
-        assert_eq!(InstanceSampler::new(&d1).sample_mask(&mut rng), 0b1111);
+        assert!(InstanceSampler::new(&d0).sample_bitset(&mut rng).is_empty());
+        assert_eq!(InstanceSampler::new(&d1).sample_bitset(&mut rng).count(), 4);
     }
 
     #[test]
     fn estimate_recovers_known_probability() {
-        // P[tuple 0 present] = 1/2
+        // P[tuple 0 present] = 1/2: the share of sampled worlds holding it
+        // converges to that marginal.
         let d = dict(Ratio::new(1, 2));
         let sampler = InstanceSampler::new(&d);
         let mut rng = StdRng::seed_from_u64(42);
-        let t0 = d.space().tuple(0).clone();
-        let est = sampler.estimate(&mut rng, 4000, |i| i.contains(&t0));
+        let hits = (0..4000)
+            .filter(|_| sampler.sample_bitset(&mut rng).contains(0))
+            .count();
+        let est = hits as f64 / 4000.0;
         assert!((est - 0.5).abs() < 0.05, "estimate {est} too far from 0.5");
-    }
-
-    #[test]
-    fn conditional_estimate_detects_dependence() {
-        // P[t0 present | t0 present] = 1; conditioning on an impossible event
-        // returns None for p = 0 dictionaries.
-        let d = dict(Ratio::new(1, 2));
-        let sampler = InstanceSampler::new(&d);
-        let mut rng = StdRng::seed_from_u64(3);
-        let t0 = d.space().tuple(0).clone();
-        let est = sampler
-            .estimate_conditional(&mut rng, 1000, |i| i.contains(&t0), |i| i.contains(&t0))
-            .unwrap();
-        assert!((est - 1.0).abs() < 1e-9);
-
-        let d0 = dict(Ratio::ZERO);
-        let sampler0 = InstanceSampler::new(&d0);
-        let t0 = d0.space().tuple(0).clone();
-        assert!(sampler0
-            .estimate_conditional(&mut rng, 100, |_| true, move |i| i.contains(&t0))
-            .is_none());
-    }
-
-    #[test]
-    fn bitset_samples_agree_with_instance_samples_for_a_fixed_seed() {
-        let d = dict(Ratio::new(1, 3));
-        let sampler = InstanceSampler::new(&d);
-        for seed in 0..20u64 {
-            let mut rng_a = StdRng::seed_from_u64(seed);
-            let mut rng_b = StdRng::seed_from_u64(seed);
-            let inst = sampler.sample(&mut rng_a);
-            let bits = sampler.sample_bitset(&mut rng_b);
-            assert_eq!(
-                d.space().bitset_from_instance(&inst),
-                bits,
-                "seed {seed}: representations disagree"
-            );
-        }
-    }
-
-    #[test]
-    fn estimate_with_zero_samples_is_zero() {
-        let d = dict(Ratio::new(1, 2));
-        let sampler = InstanceSampler::new(&d);
-        let mut rng = StdRng::seed_from_u64(3);
-        assert_eq!(sampler.estimate(&mut rng, 0, |_| true), 0.0);
     }
 }

@@ -231,9 +231,9 @@ pub fn histogram(name: &str) -> &'static Histogram {
     registry().histogram(name)
 }
 
-/// A snapshot of the whole registry, plus any caller-merged gauges
-/// (values collected from external counter bags at snapshot time, so
-/// collection never mutates global state).
+/// A snapshot of the whole registry, plus any caller-merged counters and
+/// gauges (values collected from external counter bags at snapshot time,
+/// so collection never mutates global state).
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     /// Counter name → value.
@@ -245,10 +245,16 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Merges an externally-collected gauge value into the snapshot (used
-    /// by the serve layer to fold legacy counter bags — server, registry,
-    /// engine-cache, kernel stats — into the unified plane without writing
-    /// any global state).
+    /// Merges an externally-collected monotone total into the snapshot as a
+    /// counter (used by the serve layer to fold legacy counter bags —
+    /// server, registry, engine-cache, kernel stats — into the unified
+    /// plane without writing any global state).
+    pub fn set_counter(&mut self, name: &str, value: u64) {
+        self.counters.insert(name.to_string(), value);
+    }
+
+    /// Merges an externally-collected level (a value that can go down) into
+    /// the snapshot as a gauge.
     pub fn set_gauge(&mut self, name: &str, value: u64) {
         self.gauges.insert(name.to_string(), value);
     }

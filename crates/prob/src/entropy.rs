@@ -7,7 +7,7 @@
 //! statistical independence, but small positive mutual information can hide
 //! large per-answer probability shifts. This module implements the
 //! entropy view so that the comparison the paper sketches can actually be
-//! run (see the unit tests and the EXPERIMENTS.md entry):
+//! run (see the unit tests):
 //!
 //! * `H(S)`, `H(V̄)`, `H(S, V̄)`, `H(S | V̄)` over a dictionary, in bits,
 //! * mutual information `I(S; V̄) = H(S) − H(S | V̄)`, and

@@ -9,7 +9,8 @@
 //!   `check_independence`;
 //! * the kernel's Monte-Carlo path never contradicts an exact independence
 //!   verdict (the 3σ significance filter suppresses sampling noise), and
-//!   plain Monte-Carlo estimates converge to exact probabilities within 3σ.
+//!   the share of pooled worlds satisfying a query converges to its exact
+//!   probability within 3σ.
 
 use proptest::prelude::*;
 use qvsec_cq::eval::AnswerSet;
@@ -17,9 +18,9 @@ use qvsec_cq::{parse_query, ConjunctiveQuery, ViewSet};
 use qvsec_data::{Dictionary, Domain, Ratio, Schema, TupleSpace};
 use qvsec_prob::independence::check_independence;
 use qvsec_prob::kernel::{
-    stream_exact, CompiledQuery, EstimatorMode, KernelConfig, ProbKernel, ProbStats,
+    stream_exact, world_column, CompiledQuery, EstimatorMode, KernelConfig, ProbKernel, ProbStats,
+    SamplePool,
 };
-use qvsec_prob::montecarlo::MonteCarloEstimator;
 use qvsec_prob::probability::{boolean_probability, joint_distribution};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -179,8 +180,8 @@ proptest! {
         }
     }
 
-    // Plain Monte-Carlo boolean-probability estimates converge within 3σ
-    // of the exact value.
+    // The share of the shared pool's worlds on which a query holds
+    // converges within 3σ of its exact probability.
     #[test]
     fn monte_carlo_probability_estimates_converge_within_three_sigma(
         q_text in query_text(),
@@ -189,11 +190,16 @@ proptest! {
         let mut domain = domain();
         let q = parse(&q_text, &schema, &mut domain);
         let space = TupleSpace::full(&schema, &domain).unwrap();
-        let dict = Dictionary::half(space);
+        let dict = Dictionary::half(space.clone());
         let exact = boolean_probability(&q, &dict).unwrap().to_f64();
         let samples = 6000usize;
-        let mc = MonteCarloEstimator::new(&dict, samples, 13).with_threads(2);
-        let est = mc.boolean_probability(&q);
+        let pool = SamplePool::generate(&dict, Arc::new(space), samples, 13);
+        let compiled = CompiledQuery::compile(&q, pool.space());
+        let hits = world_column(&pool, &compiled)
+            .chunks(compiled.sig_words().max(1))
+            .filter(|answers| answers.iter().any(|&word| word != 0))
+            .count();
+        let est = hits as f64 / samples as f64;
         let sigma = (exact * (1.0 - exact) / samples as f64).sqrt();
         // The vendored proptest shim seeds by (test name, case), so the
         // generated queries and hence this assertion are deterministic.

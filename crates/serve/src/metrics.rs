@@ -5,9 +5,13 @@
 //! the engine's cache statistics — into one [`MetricsSnapshot`] alongside
 //! the process-global counters and span histograms, under the same dotted
 //! naming scheme (`serve.*`, `registry.*`, `cache.*`, `kernel.*`,
-//! `store.*`). The bags are merged as gauges *into the snapshot copy*, so
-//! collection never mutates global state and two back-to-back scrapes of a
-//! quiesced server render identical text.
+//! `store.*`). Monotone totals (hits, misses, evictions, requests served,
+//! connections accepted, ...) are merged as counters, so Prometheus
+//! `rate()` applies to them; levels (tenants, shards, resident bytes,
+//! active connections, queue depth, journal size) are merged as gauges.
+//! Both go *into the snapshot copy*, so collection never mutates global
+//! state and two back-to-back scrapes of a quiesced server render
+//! identical text.
 //!
 //! [`serve_metrics_http`] exposes that snapshot in Prometheus text
 //! exposition format over a minimal HTTP/1.1 listener, for `--metrics-addr`.
@@ -21,7 +25,8 @@ use std::sync::Arc;
 use std::thread;
 
 /// One unified snapshot: the global obs registry (counters + span
-/// histograms) plus every legacy counter bag merged in as gauges.
+/// histograms) plus every legacy counter bag merged in as counters (totals)
+/// or gauges (levels).
 pub fn collect_metrics(
     registry: &SessionRegistry,
     counters: Option<&ServerCounters>,
@@ -31,41 +36,41 @@ pub fn collect_metrics(
     let stats = registry.stats();
     snap.set_gauge("registry.tenants", stats.tenants.len() as u64);
     snap.set_gauge("registry.shards", stats.shard_count as u64);
-    snap.set_gauge("registry.requests_served", stats.requests_served);
-    snap.set_gauge("registry.sessions_expired", stats.sessions_expired);
+    snap.set_counter("registry.requests_served", stats.requests_served);
+    snap.set_counter("registry.sessions_expired", stats.sessions_expired);
     snap.set_gauge("store.journal.records", stats.journal_records);
     snap.set_gauge("store.journal.bytes", stats.journal_bytes);
 
     let cache = &stats.engine_cache;
-    snap.set_gauge("cache.crit.hits", cache.crit_cache_hits);
-    snap.set_gauge("cache.crit.misses", cache.crit_cache_misses);
-    snap.set_gauge("cache.space.hits", cache.space_cache_hits);
-    snap.set_gauge("cache.space.misses", cache.space_cache_misses);
-    snap.set_gauge("cache.class.reused", cache.class_verdicts_reused);
-    snap.set_gauge("cache.compile.hits", cache.compile_cache_hits);
-    snap.set_gauge("cache.evictions", cache.evictions);
-    snap.set_gauge("cache.evicted_bytes", cache.evicted_bytes);
+    snap.set_counter("cache.crit.hits", cache.crit_cache_hits);
+    snap.set_counter("cache.crit.misses", cache.crit_cache_misses);
+    snap.set_counter("cache.space.hits", cache.space_cache_hits);
+    snap.set_counter("cache.space.misses", cache.space_cache_misses);
+    snap.set_counter("cache.class.reused", cache.class_verdicts_reused);
+    snap.set_counter("cache.compile.hits", cache.compile_cache_hits);
+    snap.set_counter("cache.evictions", cache.evictions);
+    snap.set_counter("cache.evicted_bytes", cache.evicted_bytes);
     snap.set_gauge("cache.resident_bytes", cache.resident_bytes);
-    snap.set_gauge("kernel.queries_compiled", cache.queries_compiled);
-    snap.set_gauge("kernel.mc.samples_drawn", cache.mc_samples_drawn);
-    snap.set_gauge("kernel.mc.samples_reused", cache.mc_samples_reused);
-    snap.set_gauge("kernel.pool.columns_built", cache.pool_columns_built);
-    snap.set_gauge("kernel.pool.column_hits", cache.pool_column_hits);
-    snap.set_gauge("kernel.audit.hits", cache.kernel_audit_hits);
+    snap.set_counter("kernel.queries_compiled", cache.queries_compiled);
+    snap.set_counter("kernel.mc.samples_drawn", cache.mc_samples_drawn);
+    snap.set_counter("kernel.mc.samples_reused", cache.mc_samples_reused);
+    snap.set_counter("kernel.pool.columns_built", cache.pool_columns_built);
+    snap.set_counter("kernel.pool.column_hits", cache.pool_column_hits);
+    snap.set_counter("kernel.audit.hits", cache.kernel_audit_hits);
 
     if let Some(counters) = counters {
         let s = counters.snapshot();
-        snap.set_gauge("serve.connections.accepted", s.accepted);
-        snap.set_gauge("serve.connections.rejected_busy", s.rejected_busy);
+        snap.set_counter("serve.connections.accepted", s.accepted);
+        snap.set_counter("serve.connections.rejected_busy", s.rejected_busy);
         snap.set_gauge("serve.connections.active", s.active_connections);
-        snap.set_gauge("serve.connections.dropped_idle", s.dropped_idle);
-        snap.set_gauge(
+        snap.set_counter("serve.connections.dropped_idle", s.dropped_idle);
+        snap.set_counter(
             "serve.connections.closed_request_limit",
             s.closed_request_limit,
         );
-        snap.set_gauge("serve.connections.closed_byte_limit", s.closed_byte_limit);
-        snap.set_gauge("serve.requests_pipelined", s.requests_pipelined);
-        snap.set_gauge("serve.responses_written", s.responses_written);
+        snap.set_counter("serve.connections.closed_byte_limit", s.closed_byte_limit);
+        snap.set_counter("serve.requests_pipelined", s.requests_pipelined);
+        snap.set_counter("serve.responses_written", s.responses_written);
         snap.set_gauge("serve.queue_depth", s.queue_depth);
         snap.set_gauge("serve.inflight_peak", s.inflight_peak);
     }
@@ -152,11 +157,11 @@ mod tests {
         let registry = sample_registry();
         let snap = collect_metrics(&registry, None);
         assert_eq!(snap.gauges["registry.tenants"], 0);
-        assert!(snap.gauges.contains_key("cache.crit.hits"));
-        assert!(snap.gauges.contains_key("kernel.mc.samples_drawn"));
+        assert!(snap.counters.contains_key("cache.crit.hits"));
+        assert!(snap.counters.contains_key("kernel.mc.samples_drawn"));
         assert!(
-            !snap.gauges.contains_key("serve.requests_pipelined"),
-            "server gauges only appear when counters are supplied"
+            !snap.counters.contains_key("serve.requests_pipelined"),
+            "server counters only appear when counters are supplied"
         );
     }
 
@@ -174,6 +179,8 @@ mod tests {
         assert!(body.starts_with("HTTP/1.1 200 OK"));
         assert!(body.contains("text/plain"));
         assert!(body.contains("qvsec_registry_tenants 0"));
+        assert!(body.contains("# TYPE qvsec_registry_requests_served counter\n"));
+        assert!(body.contains("# TYPE qvsec_registry_tenants gauge\n"));
     }
 
     #[test]

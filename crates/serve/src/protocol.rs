@@ -47,8 +47,8 @@
 //! ```
 //!
 //! `metrics` returns the unified snapshot — process-global counters, span
-//! histograms, and every legacy counter bag folded in as gauges (see
-//! [`crate::metrics::collect_metrics`]). `explain` takes a query in either
+//! histograms, and every legacy counter bag folded in as counters (totals)
+//! or gauges (levels) (see [`crate::metrics::collect_metrics`]). `explain` takes a query in either
 //! spelling (`view` or `sql`, like `publish`) and reports, per resulting
 //! conjunctive query, its canonical form and which cache tier
 //! (`memory` | `store` | `uncached`) holds each compiled artifact — the
@@ -1139,15 +1139,20 @@ mod tests {
         let metrics = response.field("metrics");
         assert!(!metrics.field("counters").is_null());
         assert!(!metrics.field("histograms").is_null());
-        // Legacy bags are folded in as gauges, consistent with `stats`.
-        let gauges = metrics.field("gauges");
+        // Legacy bags are folded in (totals as counters, levels as
+        // gauges), consistent with `stats`.
+        let counters = metrics.field("counters");
         assert_eq!(
-            gauges.field("registry.requests_served").as_int(),
+            counters.field("registry.requests_served").as_int(),
             Some(reg.stats().requests_served as i128)
         );
         assert_eq!(
-            gauges.field("cache.crit.hits").as_int(),
+            counters.field("cache.crit.hits").as_int(),
             Some(reg.stats().engine_cache.crit_cache_hits as i128)
+        );
+        assert_eq!(
+            metrics.field("gauges").field("registry.tenants").as_int(),
+            Some(reg.stats().tenants.len() as i128)
         );
         // The process-global request counter has seen this test's traffic.
         assert!(

@@ -197,25 +197,25 @@ fn check_metrics_monotone_and_sum_consistent(steps: &[Step]) {
             );
         }
     }
-    // The merged gauges equal the legacy bags they unify, read at the
-    // same quiesced moment.
+    // The merged counters and gauges equal the legacy bags they unify,
+    // read at the same quiesced moment.
     let stats = registry.stats();
     let snap = collect_metrics(&registry, None);
     prop_assert_eq!(
-        snap.gauges["registry.requests_served"],
+        snap.counters["registry.requests_served"],
         stats.requests_served
     );
     prop_assert_eq!(snap.gauges["registry.tenants"], stats.tenants.len() as u64);
     prop_assert_eq!(
-        snap.gauges["cache.crit.hits"],
+        snap.counters["cache.crit.hits"],
         stats.engine_cache.crit_cache_hits
     );
     prop_assert_eq!(
-        snap.gauges["cache.crit.misses"],
+        snap.counters["cache.crit.misses"],
         stats.engine_cache.crit_cache_misses
     );
     prop_assert_eq!(
-        snap.gauges["kernel.mc.samples_drawn"],
+        snap.counters["kernel.mc.samples_drawn"],
         stats.engine_cache.mc_samples_drawn
     );
     prop_assert_eq!(snap.gauges["store.journal.records"], stats.journal_records);

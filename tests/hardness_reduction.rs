@@ -119,4 +119,27 @@ fn horn_like_satisfiable_formula_yields_a_non_critical_tuple() {
     );
     assert!(formula.is_satisfiable());
     assert!(!tuple_is_critical(&formula).unwrap());
+
+    // Two more satisfiable Appendix A instances: (Y0 ∨ Y1) ∧ (¬Y0 ∨ Y1), and
+    // (Y0 ∨ Y1 ∨ Y2) ∧ (¬Y0 ∨ Y1) ∧ (¬Y1 ∨ Y2).
+    for formula in [
+        ForallExists3Cnf::existential(
+            2,
+            vec![
+                vec![Literal::y(0), Literal::y(1)],
+                vec![Literal::not_y(0), Literal::y(1)],
+            ],
+        ),
+        ForallExists3Cnf::existential(
+            3,
+            vec![
+                vec![Literal::y(0), Literal::y(1), Literal::y(2)],
+                vec![Literal::not_y(0), Literal::y(1)],
+                vec![Literal::not_y(1), Literal::y(2)],
+            ],
+        ),
+    ] {
+        assert!(formula.is_satisfiable());
+        assert!(!tuple_is_critical(&formula).unwrap());
+    }
 }
